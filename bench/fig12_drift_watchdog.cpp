@@ -34,6 +34,7 @@
 #include "axbench/registry.hh"
 #include "common/logging.hh"
 #include "core/report.hh"
+#include "core/shard.hh"
 #include "core/table_classifier.hh"
 #include "core/watchdog/watchdog.hh"
 #include "sim/fault_injection.hh"
@@ -42,7 +43,6 @@
 
 using namespace mithra;
 using core::watchdog::noTrip;
-using core::watchdog::Watchdog;
 using core::watchdog::WatchdogOptions;
 
 namespace
@@ -98,31 +98,55 @@ struct StreamProfile
 };
 
 /**
+ * The trained tables' routing with the compiler's fail-closed flag
+ * cleared. At small MITHRA_SCALE every design fails closed, and a
+ * fail-closed deployment accelerates nothing the watchdog could
+ * audit; the profiles and drills measure what the tables route.
+ */
+class TableRouting final : public core::Classifier
+{
+  public:
+    explicit TableRouting(core::TableClassifier tuned)
+        : tables(std::move(tuned))
+    {
+    }
+    std::string kind() const override { return "table-routing"; }
+    bool decidePrecise(const Vec &input, std::size_t index) override
+    {
+        return tables.decidePrecise(input, index);
+    }
+    sim::ClassifierCost cost() const override { return {}; }
+    std::size_t configSizeBytes() const override { return 0; }
+
+  private:
+    core::TableClassifier tables;
+};
+
+/**
  * Measure what a pristine classifier copy does on one trace: the
  * fraction of invocations it accelerates and the true violation rate
- * among those. This is the quantity the watchdog's audits estimate.
+ * among those (the oracle's false negatives). This is the quantity
+ * the watchdog's audits estimate.
  */
 StreamProfile
-profileStream(core::TableClassifier classifier,
+profileStream(const core::TableClassifier &classifier,
               const axbench::InvocationTrace &trace, double threshold)
 {
+    core::DecisionLoopOptions loop;
+    loop.oracleThreshold = threshold;
+    core::DecisionStream stream(1, loop, WatchdogOptions{});
+    TableRouting routing(classifier);
+    std::vector<std::uint8_t> decisions;
+    const core::DecisionTotals totals =
+        stream.decide(routing, trace, decisions);
+
     StreamProfile profile;
-    std::size_t accel = 0;
-    std::size_t violations = 0;
-    classifier.beginDataset(trace);
-    for (std::size_t i = 0; i < trace.count(); ++i) {
-        if (classifier.decidePrecise(trace.inputVec(i), i))
-            continue;
-        ++accel;
-        if (trace.maxAbsError(i) > static_cast<float>(threshold))
-            ++violations;
-    }
     if (trace.count() > 0)
-        profile.accelFraction = static_cast<double>(accel)
+        profile.accelFraction = static_cast<double>(totals.accelerated)
             / static_cast<double>(trace.count());
-    if (accel > 0)
-        profile.violationRate = static_cast<double>(violations)
-            / static_cast<double>(accel);
+    if (totals.accelerated > 0)
+        profile.violationRate = static_cast<double>(totals.falseNegatives)
+            / static_cast<double>(totals.accelerated);
     return profile;
 }
 
@@ -182,17 +206,18 @@ struct DrillResult
     /** Invocations from change onset to DEGRADED (noTrip: never). */
     std::size_t detectLatency = noTrip;
     std::size_t audits = 0;
-    StreamProfile changed;
 };
 
 /**
- * Run one drill: feed `warmup` clean streams through a pristine
- * classifier copy, then `changed` streams (optionally through a
- * different — corrupted — classifier, modeling a fault that strikes
- * at the onset); record when the watchdog first reaches DEGRADED
- * after the change. The changed streams cycle — deployment does not
- * stop producing inputs — until the watchdog trips or the stream has
- * covered `minChangedInvocations` (at least one full pass).
+ * Run one drill on a one-shard decision stream: feed `warmup` clean
+ * streams through a pristine classifier copy, then `changed` streams
+ * (optionally through a different — corrupted — classifier, modeling
+ * a fault that strikes at the onset); record when the watchdog first
+ * reaches DEGRADED after the change. A warm-up trip is a false trip
+ * (the control row counts it), not a detection. The changed streams
+ * cycle — deployment does not stop producing inputs — until the
+ * watchdog trips or the stream has covered `minChangedInvocations`
+ * (at least one full pass).
  */
 DrillResult
 runDrill(const core::TableClassifier &pristine, double threshold,
@@ -202,34 +227,41 @@ runDrill(const core::TableClassifier &pristine, double threshold,
          std::size_t minChangedInvocations = 0,
          const core::TableClassifier *changedClassifier = nullptr)
 {
-    core::TableClassifier classifier = pristine;
-    Watchdog dog(opts, threshold);
+    core::DecisionLoopOptions loop;
+    loop.oracleThreshold = threshold;
+    core::DecisionStream stream(1, loop, opts);
+    const auto dog = [&stream] {
+        return stream.evaluation().shards.front().watchdog;
+    };
+    std::vector<std::uint8_t> decisions;
 
     DrillResult result;
-    for (const auto *trace : warmup)
-        core::watchdog::runStream(dog, classifier, *trace);
-    result.warmupTrips = dog.snapshot().trips;
+    TableRouting classifier(pristine);
+    std::size_t onsetAt = 0;
+    for (const auto *trace : warmup) {
+        stream.decide(classifier, *trace, decisions);
+        onsetAt += trace->count();
+    }
+    result.warmupTrips = dog().trips;
 
-    core::TableClassifier onset =
-        changedClassifier ? *changedClassifier : classifier;
+    TableRouting onset(changedClassifier ? *changedClassifier : pristine);
     std::size_t offset = 0;
     bool firstPass = true;
     while (firstPass || offset < minChangedInvocations) {
         firstPass = false;
         for (const auto *trace : changed) {
-            const auto stream =
-                core::watchdog::runStream(dog, onset, *trace);
-            if (result.detectLatency == noTrip
-                && stream.tripIndex != noTrip)
-                result.detectLatency = offset + stream.tripIndex;
-            offset += stream.invocations;
-            if (result.detectLatency != noTrip)
+            stream.decide(onset, *trace, decisions);
+            offset += trace->count();
+            const std::size_t firstTrip = dog().firstTripAt;
+            if (firstTrip != noTrip && firstTrip >= onsetAt) {
+                result.detectLatency = firstTrip - onsetAt;
                 break;
+            }
         }
         if (result.detectLatency != noTrip || changed.empty())
             break;
     }
-    result.audits = dog.snapshot().audits;
+    result.audits = dog().audits;
     return result;
 }
 

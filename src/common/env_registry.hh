@@ -119,8 +119,9 @@ inline constexpr std::array<VarInfo, 23> registry{{
      "largest accepted HTTP request body in bytes; larger requests "
      "are refused with 413"},
     {"MITHRA_SERVE_TIMEOUT_MS", "int in [100, 600000]", "`10000`",
-     "per-connection idle/read timeout of the service shell in "
-     "milliseconds"},
+     "service shell timeout in milliseconds: closes idle "
+     "connections and answers 408 to a request not complete this long "
+     "after its first byte"},
 }};
 
 /** Registry entry for `name`, or nullptr when unregistered. */

@@ -14,11 +14,11 @@
  * invocation rate, speedup / energy reduction / EDP against the
  * precise baseline, and false positives/negatives against the oracle.
  *
- * The decision loop itself is sharded and batch-first (core/shard.hh):
- * each dataset's invocation stream splits into MITHRA_SHARDS
- * deterministic contiguous shards that decide via
- * Classifier::decideBatch() and run concurrently, with slot-ordered
- * evidence merging. See DESIGN.md §12 for the determinism contract.
+ * The evaluator drives the validation suite through one
+ * core::DecisionStream (core/shard.hh): every dataset continues one
+ * deployment stream split into MITHRA_SHARDS deterministic contiguous
+ * shards, each with its own watchdog. See DESIGN.md §12 for the
+ * determinism contract.
  */
 
 #pragma once
@@ -89,8 +89,6 @@ struct EvaluationOptions
      * experiment cache key.
      */
     std::size_t shards = 0;
-    /** Invocations per decideBatch() block inside a shard. */
-    std::size_t batchBlock = 512;
     /**
      * Runtime guarantee watchdog (disabled by default, in which case
      * evaluation is bit-for-bit identical to a watchdog-less build).
@@ -127,18 +125,12 @@ struct DesignEvaluation
     sim::RunTotals totals{};
     sim::RunTotals baselineTotals{};
     /**
-     * Watchdog state at the end of the run. Deliberately NOT part of
-     * the experiment cache serialization (the cache format predates
-     * the watchdog and cached records are watchdog-less evaluations);
-     * valid only when watchdogEnabled.
-     */
-    bool watchdogEnabled = false;
-    watchdog::Snapshot watchdog{};
-    /**
-     * The sharded engine's report: per-shard tallies and, with the
-     * watchdog on, the merged evidence (envelope intersection at the
-     * split alpha). Like the watchdog snapshot, NOT part of the
-     * experiment cache serialization.
+     * The decision stream's report: per-shard tallies and, with the
+     * watchdog on, the per-shard snapshots and merged evidence
+     * (envelope intersection at the split alpha). Deliberately NOT
+     * part of the experiment cache serialization (the cache format
+     * predates the watchdog and cached records are watchdog-less
+     * evaluations).
      */
     ShardedEvaluation sharded{};
 };

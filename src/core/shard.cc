@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
-#include "stats/clopper_pearson.hh"
 
 namespace mithra::core
 {
@@ -178,6 +177,19 @@ runShardedDecisions(Classifier &classifier,
     });
 }
 
+ShardReport
+ShardedEvaluation::totals() const
+{
+    ShardReport sum;
+    for (const ShardReport &shard : shards) {
+        sum.invocations += shard.invocations;
+        sum.accelerated += shard.accelerated;
+        sum.falsePositives += shard.falsePositives;
+        sum.falseNegatives += shard.falseNegatives;
+    }
+    return sum;
+}
+
 void
 mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
                    double confidence, ShardedEvaluation &out)
@@ -193,8 +205,6 @@ mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
     out.combinedState = watchdog::State::Healthy;
     out.violationEnvelope = stats::ProportionEnvelope{};
 
-    std::size_t pooledAudits = 0;
-    std::size_t pooledViolations = 0;
     for (std::size_t k = 0; k < dogs.size(); ++k) {
         const watchdog::Snapshot snap = dogs[k].snapshot();
         out.shards[k].watchdog = snap;
@@ -208,19 +218,88 @@ mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
         out.violationEnvelope =
             stats::intersectEnvelopes(out.violationEnvelope,
                                       shardEnvelope);
-
-        pooledAudits += snap.audits;
-        pooledViolations += snap.violations;
     }
+}
 
-    if (pooledAudits > 0) {
-        const stats::ProportionInterval pooled =
-            stats::clopperPearsonInterval(pooledViolations, pooledAudits,
-                                          confidence);
-        out.pooledEnvelope = {pooled.lower, pooled.upper};
-    } else {
-        out.pooledEnvelope = stats::ProportionEnvelope{};
+DecisionStream::DecisionStream(std::size_t shards,
+                               const DecisionLoopOptions &loopOptions,
+                               const watchdog::WatchdogOptions &watchdog)
+    : loop(loopOptions), confidence(watchdog.confidence)
+{
+    MITHRA_EXPECTS(shards >= 1, "a decision stream needs a shard");
+    report.shardCount = shards;
+    report.shards.resize(shards);
+    if (!watchdog.enabled)
+        return;
+    if (shards == 1) {
+        dogs.emplace_back(watchdog, loop.oracleThreshold);
+        return;
     }
+    // Decorrelated schedules, and alpha / N per shard so the merged
+    // envelope holds at the configured confidence.
+    dogs.reserve(shards);
+    for (std::size_t k = 0; k < shards; ++k) {
+        watchdog::WatchdogOptions perShard = watchdog;
+        perShard.confidence =
+            stats::splitConfidence(watchdog.confidence, shards);
+        perShard.seed = shardSeed(watchdog.seed, k);
+        dogs.emplace_back(perShard, loop.oracleThreshold);
+    }
+}
+
+DecisionTotals
+DecisionStream::decide(Classifier &classifier,
+                       const axbench::InvocationTrace &trace,
+                       std::vector<std::uint8_t> &decisions)
+{
+    classifier.beginDataset(trace);
+    decisions.resize(trace.count());
+    const ShardPlan plan(trace.count(), report.shardCount);
+    runShardedDecisions(classifier, trace, plan, dogs, loop,
+                        decisions.data(), tallies);
+    // The sampling schedule indexes the whole stream, so the next
+    // call continues where this one ended.
+    loop.streamOffset += trace.count();
+
+    // Slot-ordered fold: shard 0, 1, ... regardless of which worker
+    // finished first, so every total is independent of thread count.
+    DecisionTotals totals;
+    for (std::size_t k = 0; k < report.shardCount; ++k) {
+        const ShardTally &tally = tallies[k];
+        ShardReport &shard = report.shards[k];
+        shard.invocations += tally.invocations;
+        shard.accelerated += tally.accelerated;
+        shard.falsePositives += tally.falsePositives;
+        shard.falseNegatives += tally.falseNegatives;
+        totals.invocations += tally.invocations;
+        totals.accelerated += tally.accelerated;
+        totals.falsePositives += tally.falsePositives;
+        totals.falseNegatives += tally.falseNegatives;
+        totals.auditPreciseRuns += tally.auditPreciseRuns;
+        totals.shadowAccelRuns += tally.shadowAccelRuns;
+        // Shards cover ascending ranges: concatenation stays sorted.
+        totals.sampledIndices.insert(totals.sampledIndices.end(),
+                                     tally.sampledIndices.begin(),
+                                     tally.sampledIndices.end());
+        if (!dogs.empty()) {
+            const watchdog::Snapshot now = dogs[k].snapshot();
+            totals.audits += now.audits - shard.watchdog.audits;
+            totals.violations += now.violations - shard.watchdog.violations;
+            totals.forcedPrecise +=
+                now.forcedPrecise - shard.watchdog.forcedPrecise;
+            shard.watchdog = now;
+        }
+    }
+    return totals;
+}
+
+ShardedEvaluation
+DecisionStream::evaluation() const
+{
+    ShardedEvaluation out = report;
+    if (!dogs.empty())
+        mergeShardEvidence(dogs, confidence, out);
+    return out;
 }
 
 } // namespace mithra::core

@@ -1,14 +1,14 @@
 /**
  * @file
- * The sharded, batch-first runtime decision loop.
+ * The sharded, batch-first runtime decision loop and DecisionStream,
+ * the one engine every certified accelerate/precise decision (paper
+ * Fig. 2's runtime) goes through: offline evaluation, served models,
+ * the runtime bench and the drift drills. A stream decides each trace
+ * in two levels:
  *
- * The evaluator used to walk each validation trace serially, one
- * decidePrecise() per invocation. This module replaces that walk with
- * a two-level structure:
- *
- *  - **Shards.** Each dataset's invocation stream is split into N
- *    deterministic contiguous shards (ShardPlan). Shard boundaries are
- *    a pure function of (trace length, shard count) — never of thread
+ *  - **Shards.** The trace's invocations split into N deterministic
+ *    contiguous shards (ShardPlan). Shard boundaries are a pure
+ *    function of (trace length, shard count) — never of thread
  *    count — so the partition itself is part of the experiment
  *    configuration, not of the machine it ran on. Shards execute via
  *    parallelFor; MITHRA_THREADS only changes which worker runs which
@@ -36,15 +36,18 @@
  *    a semantic configuration change (it joins the experiment cache
  *    key).
  *
- * Evidence merging: each shard's watchdog runs its sequential
- * envelope at confidence 1 - alpha/N (stats::splitConfidence). By the
- * union bound, the intersection of the N per-shard envelopes is a
- * valid envelope on the common violation rate at the original
- * confidence 1 - alpha — this is the statistical price of sharding,
- * and it is predictable (the tests bound the gap). The merge itself
- * is a slot-ordered reduction: integer counts sum shard 0, 1, ...,
- * the combined state is the worst per-shard state, and the envelope
- * is the intersection — all independent of thread interleaving.
+ * Evidence merging: with N > 1 shards each watchdog runs its
+ * sequential envelope at confidence 1 - alpha/N
+ * (stats::splitConfidence) on a shardSeed-derived audit schedule; a
+ * one-shard stream runs its watchdog with the caller's options
+ * verbatim. By the union bound, the intersection of the N per-shard
+ * envelopes is a valid envelope on the common violation rate at the
+ * original confidence 1 - alpha — this is the statistical price of
+ * sharding, and it is predictable (the tests bound the gap). The
+ * merge is a slot-ordered reduction: per-shard snapshots in shard
+ * order, the combined state is the worst per-shard state, and the
+ * envelope is the intersection — all independent of thread
+ * interleaving.
  */
 
 #pragma once
@@ -161,28 +164,28 @@ void runShardedDecisions(Classifier &classifier,
                          std::uint8_t *decisions,
                          std::vector<ShardTally> &tallies);
 
-/** One shard's totals over the whole validation suite. */
+/** One shard's totals over everything its stream decided. */
 struct ShardReport
 {
     std::size_t invocations = 0;
     std::size_t accelerated = 0;
     std::size_t falsePositives = 0;
     std::size_t falseNegatives = 0;
-    /** Final watchdog snapshot; meaningful only when the parent
+    /** Latest watchdog snapshot; meaningful only when the parent
      *  ShardedEvaluation has watchdogEnabled set. */
     watchdog::Snapshot watchdog{};
 };
 
-/** The sharded engine's report surface for one evaluation. */
+/** The sharded engine's report surface for one decision stream. */
 struct ShardedEvaluation
 {
-    /** Shards each dataset was split into. */
+    /** Shards each trace was split into. */
     std::size_t shardCount = 1;
     bool watchdogEnabled = false;
     /**
-     * Envelope confidence each shard's watchdog ran at:
-     * splitConfidence(confidence, shardCount), i.e. alpha / N per
-     * shard so the merged envelope holds at the full confidence.
+     * Envelope confidence each shard's watchdog ran at: the split
+     * confidence (stats::splitConfidence), i.e. alpha / N per shard
+     * so the merged envelope holds at the full confidence.
      */
     double shardConfidence = 0.0;
     /** Slot k = shard k, in shard order. */
@@ -196,24 +199,77 @@ struct ShardedEvaluation
      * bound (assuming the shards sample one common rate).
      */
     stats::ProportionEnvelope violationEnvelope{};
-    /**
-     * Diagnostic one-look Clopper–Pearson interval on the pooled
-     * audit counts at the full confidence. NOT anytime-valid (it
-     * ignores the sequential looks); reported to show how much the
-     * alpha split plus anytime-validity cost relative to a single
-     * fixed-sample analysis.
-     */
-    stats::ProportionEnvelope pooledEnvelope{};
+
+    /** Slot-ordered sum of the shards' counts (watchdog left
+     *  default). */
+    ShardReport totals() const;
 };
 
 /**
  * Merge per-shard watchdog evidence into `out`: per-shard snapshots
- * into out.shards[k].watchdog, the worst combined state, the envelope
- * intersection, and the pooled one-look interval. `confidence` is the
- * FULL (unsplit) confidence; out.shards must already have dogs.size()
- * slots. Deterministic: every reduction runs in shard-slot order.
+ * into out.shards[k].watchdog, the worst combined state and the
+ * envelope intersection. `confidence` is the FULL (unsplit)
+ * confidence; out.shards must already have dogs.size() slots.
+ * Deterministic: every reduction runs in shard-slot order.
  */
 void mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
                         double confidence, ShardedEvaluation &out);
+
+/**
+ * What one DecisionStream::decide() call counted: the shards' tallies
+ * summed in slot order (sampledIndices stays ascending), plus the
+ * watchdog snapshot deltas over the call (0 with the watchdog off).
+ */
+struct DecisionTotals : ShardTally
+{
+    std::size_t audits = 0;
+    std::size_t violations = 0;
+    std::size_t forcedPrecise = 0;
+};
+
+/**
+ * One certified decision stream: the shard count, one watchdog per
+ * shard (none when the watchdog is off), the running stream position
+ * and the cumulative per-shard reports. Successive decide() calls
+ * continue one deployment stream — watchdog state and the sampling
+ * schedule persist across them. Not thread-safe: callers serialize
+ * decide() (the shards inside one call run in parallel).
+ */
+class DecisionStream
+{
+  public:
+    /**
+     * @param shards   contiguous shards per trace (>= 1)
+     * @param loop     loop knobs; loop.streamOffset is the stream's
+     *                 starting position, and loop.oracleThreshold is
+     *                 also the watchdogs' violation threshold
+     * @param watchdog watchdog knobs; no watchdogs unless enabled.
+     *                 One shard runs them verbatim; N shards run
+     *                 each at the split confidence with a
+     *                 shardSeed-derived schedule seed.
+     */
+    DecisionStream(std::size_t shards, const DecisionLoopOptions &loop,
+                   const watchdog::WatchdogOptions &watchdog);
+
+    /**
+     * Decide `trace` (beginDataset() included) through
+     * runShardedDecisions. `decisions` is resized to trace.count()
+     * and filled with routes, 1 = accelerate.
+     */
+    DecisionTotals decide(Classifier &classifier,
+                          const axbench::InvocationTrace &trace,
+                          std::vector<std::uint8_t> &decisions);
+
+    /** The cumulative per-shard reports plus, with the watchdog on,
+     *  the merged evidence (mergeShardEvidence) as of now. */
+    ShardedEvaluation evaluation() const;
+
+  private:
+    DecisionLoopOptions loop;
+    double confidence;
+    std::vector<watchdog::Watchdog> dogs;
+    ShardedEvaluation report;
+    std::vector<ShardTally> tallies;
+};
 
 } // namespace mithra::core

@@ -283,32 +283,4 @@ Watchdog::snapshot() const
     return snap;
 }
 
-StreamResult
-runStream(Watchdog &dog, Classifier &classifier,
-          const axbench::InvocationTrace &trace)
-{
-    MITHRA_SPAN("core.watchdog.stream");
-    MITHRA_EXPECTS(trace.hasApproximations(),
-                   "watchdog streams need approximate outputs attached");
-
-    const std::size_t tripsBefore = dog.snapshot().trips;
-    StreamResult result;
-    result.invocations = trace.count();
-
-    classifier.beginDataset(trace);
-    for (std::size_t i = 0; i < trace.count(); ++i) {
-        const bool wantPrecise =
-            classifier.decidePrecise(trace.inputVec(i), i);
-        const Routing routing = dog.route(!wantPrecise);
-        if (routing.audited())
-            dog.reportAudit(trace.maxAbsError(i));
-        if (result.tripIndex == noTrip
-            && dog.snapshot().trips > tripsBefore)
-            result.tripIndex = i;
-    }
-
-    result.snapshot = dog.snapshot();
-    return result;
-}
-
 } // namespace mithra::core::watchdog

@@ -25,6 +25,15 @@ envelopeJson(const stats::ProportionEnvelope &envelope,
     return telemetry::Json(std::move(out));
 }
 
+core::DecisionLoopOptions
+servingLoop(double threshold)
+{
+    core::DecisionLoopOptions loop;
+    loop.oracleThreshold = threshold;
+    loop.onlineSampleRate = 0.0; // decisions stay pure over the batch
+    return loop;
+}
+
 } // namespace
 
 Model::Model(std::string modelId, core::CompiledWorkload compiled,
@@ -35,31 +44,15 @@ Model::Model(std::string modelId, core::CompiledWorkload compiled,
       workload(std::move(compiled)),
       classifier(std::move(decider)),
       threshold(tunedThreshold),
-      configuration(modelConfig)
+      configuration(modelConfig),
+      stream(modelConfig.shards, servingLoop(tunedThreshold.threshold),
+             modelConfig.watchdog)
 {
     MITHRA_EXPECTS(workload.benchmark != nullptr,
                    "model needs a compiled benchmark");
     MITHRA_EXPECTS(classifier != nullptr, "model needs a classifier");
-    MITHRA_EXPECTS(configuration.shards >= 1,
-                   "model shard count must be positive");
     benchmarkName = workload.benchmark->name();
     width = workload.benchmark->npuTopology().front();
-    if (configuration.watchdog.enabled) {
-        // Per-shard watchdogs at the split confidence, exactly like
-        // the offline sharded evaluator: the merged envelope then
-        // holds at the configured confidence by the union bound.
-        const double shardConfidence = stats::splitConfidence(
-            configuration.watchdog.confidence, configuration.shards);
-        dogs.reserve(configuration.shards);
-        for (std::size_t k = 0; k < configuration.shards; ++k) {
-            core::watchdog::WatchdogOptions opts =
-                configuration.watchdog;
-            opts.confidence = shardConfidence;
-            opts.seed =
-                core::shardSeed(configuration.watchdog.seed, k);
-            dogs.emplace_back(opts, threshold.threshold);
-        }
-    }
 }
 
 InvokeOutcome
@@ -70,52 +63,15 @@ Model::invoke(const float *rows, std::size_t count)
 
     const axbench::InvocationTrace trace =
         core::traceFromInputs(workload, rows, width, count);
-    classifier->beginDataset(trace);
-
-    const core::ShardPlan plan(count, configuration.shards);
-    core::DecisionLoopOptions loop;
-    loop.oracleThreshold = threshold.threshold;
-    loop.onlineSampleRate = 0.0; // decisions stay pure over the batch
-    loop.streamOffset = streamPosition;
-
-    std::vector<Snapshot> before(dogs.size());
-    for (std::size_t k = 0; k < dogs.size(); ++k)
-        before[k] = dogs[k].snapshot();
-
     InvokeOutcome outcome;
-    outcome.decisions.resize(count);
-    std::vector<core::ShardTally> tallies;
-    core::runShardedDecisions(*classifier, trace, plan, dogs, loop,
-                              outcome.decisions.data(), tallies);
-
-    std::size_t batchAccelerated = 0;
-    std::size_t batchFalsePositives = 0;
-    std::size_t batchFalseNegatives = 0;
-    for (const core::ShardTally &tally : tallies) {
-        batchAccelerated += tally.accelerated;
-        batchFalsePositives += tally.falsePositives;
-        batchFalseNegatives += tally.falseNegatives;
-    }
-    std::size_t batchAudits = 0;
-    std::size_t batchViolations = 0;
-    std::size_t batchForcedPrecise = 0;
-    for (std::size_t k = 0; k < dogs.size(); ++k) {
-        const Snapshot now = dogs[k].snapshot();
-        batchAudits += now.audits - before[k].audits;
-        batchViolations += now.violations - before[k].violations;
-        batchForcedPrecise +=
-            now.forcedPrecise - before[k].forcedPrecise;
-    }
-
-    streamPosition += count;
+    const core::DecisionTotals decided =
+        stream.decide(*classifier, trace, outcome.decisions);
+    const core::ShardedEvaluation evidence = stream.evaluation();
+    const core::ShardReport lifetime = evidence.totals();
     batches += 1;
-    totalInvocations += count;
-    totalAccelerated += batchAccelerated;
-    totalFalsePositives += batchFalsePositives;
-    totalFalseNegatives += batchFalseNegatives;
 
     MITHRA_COUNT("service.invocations", count);
-    MITHRA_COUNT("service.accelerated", batchAccelerated);
+    MITHRA_COUNT("service.accelerated", decided.accelerated);
 
     telemetry::Json::Object certificate;
     certificate.emplace("model", telemetry::Json(name));
@@ -127,48 +83,43 @@ Model::invoke(const float *rows, std::size_t count)
     certificate.emplace("threshold",
                         telemetry::Json(threshold.threshold));
     certificate.emplace("watchdogEnabled",
-                        telemetry::Json(!dogs.empty()));
+                        telemetry::Json(evidence.watchdogEnabled));
 
     telemetry::Json::Object batch;
     batch.emplace("invocations", telemetry::Json(count));
-    batch.emplace("accelerated", telemetry::Json(batchAccelerated));
+    batch.emplace("accelerated", telemetry::Json(decided.accelerated));
     batch.emplace("falsePositives",
-                  telemetry::Json(batchFalsePositives));
+                  telemetry::Json(decided.falsePositives));
     batch.emplace("falseNegatives",
-                  telemetry::Json(batchFalseNegatives));
-    batch.emplace("audits", telemetry::Json(batchAudits));
-    batch.emplace("violations", telemetry::Json(batchViolations));
+                  telemetry::Json(decided.falseNegatives));
+    batch.emplace("audits", telemetry::Json(decided.audits));
+    batch.emplace("violations", telemetry::Json(decided.violations));
     batch.emplace("forcedPrecise",
-                  telemetry::Json(batchForcedPrecise));
+                  telemetry::Json(decided.forcedPrecise));
     certificate.emplace("batch", telemetry::Json(std::move(batch)));
 
     telemetry::Json::Object total;
     total.emplace("batches", telemetry::Json(batches));
-    total.emplace("invocations", telemetry::Json(totalInvocations));
-    total.emplace("accelerated", telemetry::Json(totalAccelerated));
+    total.emplace("invocations", telemetry::Json(lifetime.invocations));
+    total.emplace("accelerated", telemetry::Json(lifetime.accelerated));
     total.emplace("falsePositives",
-                  telemetry::Json(totalFalsePositives));
+                  telemetry::Json(lifetime.falsePositives));
     total.emplace("falseNegatives",
-                  telemetry::Json(totalFalseNegatives));
+                  telemetry::Json(lifetime.falseNegatives));
     certificate.emplace("total", telemetry::Json(std::move(total)));
 
-    if (!dogs.empty())
-        certificate.emplace("watchdog", watchdogEvidenceLocked());
+    if (evidence.watchdogEnabled)
+        certificate.emplace("watchdog", watchdogEvidence(evidence));
 
     outcome.certificate = telemetry::Json(std::move(certificate));
     return outcome;
 }
 
+/** The certificate's watchdog section: merged state and envelope
+ *  plus each shard's evidence. */
 telemetry::Json
-Model::watchdogEvidenceLocked() const
+Model::watchdogEvidence(const core::ShardedEvaluation &merged) const
 {
-    core::ShardedEvaluation merged;
-    merged.shardCount = configuration.shards;
-    merged.watchdogEnabled = true;
-    merged.shards.resize(dogs.size());
-    core::mergeShardEvidence(dogs, configuration.watchdog.confidence,
-                             merged);
-
     telemetry::Json::Object evidence;
     evidence.emplace(
         "state",
@@ -206,6 +157,8 @@ telemetry::Json
 Model::describe() const
 {
     std::lock_guard<std::mutex> hold(mutex);
+    const core::ShardedEvaluation evidence = stream.evaluation();
+    const core::ShardReport lifetime = evidence.totals();
     telemetry::Json::Object out;
     out.emplace("id", telemetry::Json(name));
     out.emplace("benchmark", telemetry::Json(benchmarkName));
@@ -218,11 +171,11 @@ Model::describe() const
     out.emplace("approximationEnabled",
                 telemetry::Json(classifier->approximationEnabled()));
     out.emplace("batches", telemetry::Json(batches));
-    out.emplace("invocations", telemetry::Json(totalInvocations));
-    out.emplace("accelerated", telemetry::Json(totalAccelerated));
-    out.emplace("watchdogEnabled", telemetry::Json(!dogs.empty()));
-    if (!dogs.empty())
-        out.emplace("watchdog", watchdogEvidenceLocked());
+    out.emplace("invocations", telemetry::Json(lifetime.invocations));
+    out.emplace("accelerated", telemetry::Json(lifetime.accelerated));
+    out.emplace("watchdogEnabled", telemetry::Json(evidence.watchdogEnabled));
+    if (evidence.watchdogEnabled)
+        out.emplace("watchdog", watchdogEvidence(evidence));
     return telemetry::Json(std::move(out));
 }
 

@@ -5,18 +5,17 @@
  *
  * A Model is what a completed compile/train job publishes: the
  * compiled workload (benchmark + trained accelerator), the calibrated
- * classifier, the tuned threshold, and the runtime guarantee state —
- * one watchdog per shard, persistent across `/invoke` batches so the
- * sequential envelope keeps accumulating evidence over the model's
- * whole served stream.
+ * classifier, the tuned threshold, and a core::DecisionStream that
+ * every `/invoke` batch continues — its per-shard watchdogs keep
+ * accumulating evidence over the model's whole served stream. The
+ * certificate JSON is assembled here from the stream's totals.
  *
  * Determinism: the shard count is pinned in the model configuration
  * (it ships in the job spec) and never read from MITHRA_SHARDS — so
  * the decision sequence and every certificate are a pure function of
  * the request sequence, bitwise identical at any MITHRA_THREADS and
- * any MITHRA_SHARDS setting of the serving process. The serial
- * accounting inside runShardedDecisions consumes each shard's
- * subsequence in order, exactly as in offline evaluation.
+ * any MITHRA_SHARDS setting of the serving process, exactly as in
+ * offline evaluation.
  */
 
 #pragma once
@@ -78,9 +77,8 @@ class Model
     /**
      * Decide one batch of `count` row-major input rows of
      * inputWidth() floats each: ground-truth + accelerator outputs
-     * via core::traceFromInputs, decisions via runShardedDecisions on
-     * the persistent per-shard watchdogs, certificate via
-     * mergeShardEvidence. Serializes concurrent callers — the
+     * via core::traceFromInputs, decisions and evidence via the
+     * model's DecisionStream. Serializes concurrent callers — the
      * watchdog evidence stream is strictly ordered.
      */
     InvokeOutcome invoke(const float *rows, std::size_t count);
@@ -90,7 +88,8 @@ class Model
     telemetry::Json describe() const;
 
   private:
-    telemetry::Json watchdogEvidenceLocked() const;
+    telemetry::Json watchdogEvidence(
+        const core::ShardedEvaluation &merged) const;
 
     mutable std::mutex mutex;
     std::string name;
@@ -100,16 +99,10 @@ class Model
     core::ThresholdResult threshold;
     ModelConfig configuration;
     std::size_t width = 0;
-    /** One per shard; empty when the watchdog is disabled. */
-    std::vector<core::watchdog::Watchdog> dogs;
-
-    /** Lifetime totals over every served batch. */
-    std::uint64_t streamPosition = 0;
+    /** Every served batch in order; its report holds the lifetime
+     *  totals. */
+    core::DecisionStream stream;
     std::size_t batches = 0;
-    std::size_t totalInvocations = 0;
-    std::size_t totalAccelerated = 0;
-    std::size_t totalFalsePositives = 0;
-    std::size_t totalFalseNegatives = 0;
 };
 
 /** Thread-safe id -> model map shared by jobs and the router. */

@@ -409,14 +409,27 @@ Server::serveConnection(int fd)
     RequestParser parser(limits);
     char buffer[16384];
     std::size_t unservedBytes = 0;
+    // A request must arrive whole within requestTimeoutMs of its first
+    // byte: the per-poll timeout alone lets a client that drips one
+    // byte per poll hold this worker forever.
+    const std::int64_t timeoutNs =
+        static_cast<std::int64_t>(options.requestTimeoutMs) * 1'000'000;
+    std::int64_t deadlineNs = 0;
 
     for (;;) {
+        std::int64_t waitNs = timeoutNs;
+        if (unservedBytes > 0)
+            waitNs = std::min(waitNs,
+                              deadlineNs - telemetry::wallClockNs());
         pollfd waiter{};
         waiter.fd = fd;
         waiter.events = POLLIN;
-        const int ready =
-            ::poll(&waiter, 1,
-                   static_cast<int>(options.requestTimeoutMs));
+        // Rounded up to whole milliseconds so a timeout lands past the
+        // deadline; an expired deadline skips the wait.
+        const int ready = waitNs <= 0
+            ? 0
+            : ::poll(&waiter, 1,
+                     static_cast<int>((waitNs + 999'999) / 1'000'000));
         if (ready == 0) {
             // Idle keep-alive connections just close; a half-sent
             // request gets told why.
@@ -438,6 +451,8 @@ Server::serveConnection(int fd)
                 continue;
             break; // peer closed or connection error
         }
+        if (unservedBytes == 0)
+            deadlineNs = telemetry::wallClockNs() + timeoutNs;
         unservedBytes += static_cast<std::size_t>(got);
         RequestParser::Status status =
             parser.feed(buffer, static_cast<std::size_t>(got));

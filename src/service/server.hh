@@ -60,7 +60,9 @@ struct ServerOptions
     std::size_t jobQueueDepth = 16;
     /** Largest accepted request body, bytes (413 past it). */
     std::size_t maxBodyBytes = 8u << 20;
-    /** Per-connection read/idle timeout, milliseconds. */
+    /** Idle timeout per connection, and the most time a request may
+     *  take from its first byte to its last (408 past it),
+     *  milliseconds. */
     std::size_t requestTimeoutMs = 10000;
 
     /** Defaults overridden by MITHRA_SERVE_{PORT,WORKERS,JOB_QUEUE,

@@ -4,9 +4,10 @@
  * properties, bitwise identity of DesignEvaluation aggregates across
  * MITHRA_SHARDS / MITHRA_THREADS settings (watchdog off), thread-count
  * identity at a fixed shard count (watchdog on), the deterministic
- * evidence merge, and the predicted alpha-split gap of the merged
- * sequential bound. tsan-labeled: the identity tests drive the shard
- * loop at 8 threads.
+ * evidence merge, the predicted alpha-split gap of the merged
+ * sequential bound, and DecisionStream against a hand-driven watchdog
+ * walk and its own per-shard snapshots. tsan-labeled: the identity
+ * tests drive the shard loop at 8 threads.
  */
 
 #include <gtest/gtest.h>
@@ -101,6 +102,24 @@ runEval(std::size_t shards, std::size_t threads, bool watchdogOn)
     return eval;
 }
 
+/**
+ * A width-1 trace whose accelerator output violates a 0.5 error
+ * threshold with probability `violationRate`.
+ */
+axbench::InvocationTrace
+syntheticTrace(std::size_t rows, double violationRate,
+               std::uint64_t seed)
+{
+    axbench::InvocationTrace trace(1, 1);
+    Rng rng(seed);
+    for (std::size_t i = 0; i < rows; ++i) {
+        const auto x = static_cast<float>(rng.uniform());
+        const bool violates = rng.bernoulli(violationRate);
+        trace.appendWithApprox({x}, {1.0f}, {violates ? 2.0f : 1.05f});
+    }
+    return trace;
+}
+
 /** Every aggregate the evaluation reports, compared bitwise. */
 void
 expectIdentical(const DesignEvaluation &a, const DesignEvaluation &b)
@@ -181,19 +200,18 @@ TEST(ShardedRuntime, WatchdogIdenticalAcrossThreadsAtFixedShards)
     // Watchdog on: the shard count is semantic configuration, but the
     // thread count still must not change anything.
     const DesignEvaluation reference = runEval(3, 1, true);
-    ASSERT_TRUE(reference.watchdogEnabled);
+    ASSERT_TRUE(reference.sharded.watchdogEnabled);
     ASSERT_EQ(reference.sharded.shards.size(), 3u);
     for (const std::size_t threads : {2u, 8u}) {
         const DesignEvaluation eval = runEval(3, threads, true);
         SCOPED_TRACE("threads=" + std::to_string(threads));
         expectIdentical(reference, eval);
-        EXPECT_EQ(eval.watchdog.audits, reference.watchdog.audits);
-        EXPECT_EQ(eval.watchdog.violations,
-                  reference.watchdog.violations);
-        EXPECT_EQ(eval.watchdog.state, reference.watchdog.state);
+        EXPECT_EQ(eval.sharded.combinedState,
+                  reference.sharded.combinedState);
         for (std::size_t k = 0; k < 3; ++k) {
             const auto &a = reference.sharded.shards[k].watchdog;
             const auto &b = eval.sharded.shards[k].watchdog;
+            EXPECT_EQ(a.state, b.state);
             EXPECT_EQ(a.audits, b.audits);
             EXPECT_EQ(a.violations, b.violations);
             EXPECT_EQ(a.violationLowerBound, b.violationLowerBound);
@@ -205,30 +223,26 @@ TEST(ShardedRuntime, WatchdogIdenticalAcrossThreadsAtFixedShards)
 TEST(ShardedRuntime, MergedEvidenceIsSlotOrderedReduction)
 {
     const DesignEvaluation eval = runEval(4, 2, true);
-    ASSERT_TRUE(eval.watchdogEnabled);
+    ASSERT_TRUE(eval.sharded.watchdogEnabled);
     ASSERT_EQ(eval.sharded.shards.size(), 4u);
     EXPECT_EQ(eval.sharded.shardConfidence,
               stats::splitConfidence(0.95, 4));
 
-    std::size_t audits = 0;
-    std::size_t violations = 0;
     std::size_t invocations = 0;
+    std::size_t watched = 0;
     stats::ProportionEnvelope expected;
     for (const ShardReport &shard : eval.sharded.shards) {
-        audits += shard.watchdog.audits;
-        violations += shard.watchdog.violations;
         invocations += shard.invocations;
+        watched += shard.watchdog.invocations;
         expected = stats::intersectEnvelopes(
             expected, {shard.watchdog.violationLowerBound,
                        shard.watchdog.violationUpperBound});
     }
-    EXPECT_EQ(eval.watchdog.audits, audits);
-    EXPECT_EQ(eval.watchdog.violations, violations);
     EXPECT_EQ(invocations, env().validation.totalInvocations());
+    // Every invocation passed through exactly one shard's watchdog.
+    EXPECT_EQ(watched, invocations);
     EXPECT_EQ(eval.sharded.violationEnvelope.lower, expected.lower);
     EXPECT_EQ(eval.sharded.violationEnvelope.upper, expected.upper);
-    EXPECT_EQ(eval.watchdog.violationLowerBound, expected.lower);
-    EXPECT_EQ(eval.watchdog.violationUpperBound, expected.upper);
     EXPECT_TRUE(eval.sharded.violationEnvelope.valid());
 }
 
@@ -343,4 +357,151 @@ TEST(ShardedRuntime, RunShardedDecisionsMatchesSerialReference)
     for (const ShardTally &tally : tallies)
         shardAccel += tally.accelerated;
     EXPECT_EQ(shardAccel, accelerated);
+}
+
+TEST(DecisionStream, OneShardEqualsHandDrivenWatchdogWalk)
+{
+    // The serial reference: decidePrecise per invocation, routed
+    // through one watchdog built from the caller's options verbatim.
+    // Clean, drifted, drifted, clean: the walk trips mid-stream.
+    const double threshold = 0.5;
+    std::vector<axbench::InvocationTrace> traces;
+    traces.push_back(syntheticTrace(4000, 0.02, 0xa1));
+    traces.push_back(syntheticTrace(4000, 0.5, 0xa2));
+    traces.push_back(syntheticTrace(4000, 0.5, 0xa3));
+    traces.push_back(syntheticTrace(4000, 0.02, 0xa4));
+    watchdog::WatchdogOptions opts;
+    opts.enabled = true;
+
+    DecisionLoopOptions loop;
+    loop.oracleThreshold = threshold;
+    DecisionStream stream(1, loop, opts);
+    RandomFilterClassifier streamed(0.3, 0x1234);
+    watchdog::Watchdog dog(opts, threshold);
+    RandomFilterClassifier walked(0.3, 0x1234);
+
+    std::vector<std::uint8_t> decisions;
+    for (const axbench::InvocationTrace &trace : traces) {
+        const DecisionTotals totals =
+            stream.decide(streamed, trace, decisions);
+        walked.beginDataset(trace);
+        std::size_t accelerated = 0;
+        std::size_t auditPrecise = 0;
+        std::size_t shadowAccel = 0;
+        for (std::size_t i = 0; i < trace.count(); ++i) {
+            const bool precise =
+                walked.decidePrecise(trace.inputVec(i), i);
+            const watchdog::Routing routing = dog.route(!precise);
+            if (routing.audited())
+                dog.reportAudit(trace.maxAbsError(i));
+            EXPECT_EQ(decisions[i], routing.useAccel ? 1 : 0);
+            accelerated += routing.useAccel ? 1 : 0;
+            auditPrecise += routing.auditPrecise ? 1 : 0;
+            shadowAccel += routing.auditShadowAccel ? 1 : 0;
+        }
+        EXPECT_EQ(totals.accelerated, accelerated);
+        EXPECT_EQ(totals.auditPreciseRuns, auditPrecise);
+        EXPECT_EQ(totals.shadowAccelRuns, shadowAccel);
+    }
+
+    const watchdog::Snapshot want = dog.snapshot();
+    const watchdog::Snapshot got =
+        stream.evaluation().shards.front().watchdog;
+    EXPECT_NE(want.firstTripAt, watchdog::noTrip);
+    EXPECT_EQ(got.state, want.state);
+    EXPECT_EQ(got.invocations, want.invocations);
+    EXPECT_EQ(got.audits, want.audits);
+    EXPECT_EQ(got.violations, want.violations);
+    EXPECT_EQ(got.suspectEntries, want.suspectEntries);
+    EXPECT_EQ(got.trips, want.trips);
+    EXPECT_EQ(got.recoveries, want.recoveries);
+    EXPECT_EQ(got.forcedPrecise, want.forcedPrecise);
+    EXPECT_EQ(got.firstTripAt, want.firstTripAt);
+    EXPECT_EQ(got.violationUpperBound, want.violationUpperBound);
+    EXPECT_EQ(got.violationLowerBound, want.violationLowerBound);
+    EXPECT_EQ(got.epochAudits, want.epochAudits);
+    EXPECT_EQ(got.epochViolations, want.epochViolations);
+}
+
+TEST(DecisionStream, CallTotalsAreSnapshotDeltasAndSumToReport)
+{
+    const double threshold = 0.5;
+    watchdog::WatchdogOptions opts;
+    opts.enabled = true;
+    DecisionLoopOptions loop;
+    loop.oracleThreshold = threshold;
+    DecisionStream stream(4, loop, opts);
+    RandomFilterClassifier classifier(0.3, 0x77);
+
+    setParallelThreadCount(4);
+    DecisionTotals sum;
+    std::size_t invocations = 0;
+    std::vector<std::uint8_t> decisions;
+    for (std::uint64_t call = 0; call < 4; ++call) {
+        SCOPED_TRACE("call=" + std::to_string(call));
+        const axbench::InvocationTrace trace =
+            syntheticTrace(8000, 0.4, 0xb0 + call);
+        const ShardedEvaluation before = stream.evaluation();
+        const DecisionTotals totals =
+            stream.decide(classifier, trace, decisions);
+        const ShardedEvaluation after = stream.evaluation();
+
+        std::size_t audits = 0;
+        std::size_t violations = 0;
+        std::size_t forcedPrecise = 0;
+        for (std::size_t k = 0; k < 4; ++k) {
+            const watchdog::Snapshot &a = before.shards[k].watchdog;
+            const watchdog::Snapshot &b = after.shards[k].watchdog;
+            audits += b.audits - a.audits;
+            violations += b.violations - a.violations;
+            forcedPrecise += b.forcedPrecise - a.forcedPrecise;
+        }
+        EXPECT_EQ(totals.audits, audits);
+        EXPECT_EQ(totals.audits,
+                  totals.auditPreciseRuns + totals.shadowAccelRuns);
+        EXPECT_EQ(totals.violations, violations);
+        EXPECT_EQ(totals.forcedPrecise, forcedPrecise);
+
+        invocations += trace.count();
+        sum.accelerated += totals.accelerated;
+        sum.falsePositives += totals.falsePositives;
+        sum.falseNegatives += totals.falseNegatives;
+        sum.forcedPrecise += totals.forcedPrecise;
+    }
+    setParallelThreadCount(1);
+
+    const ShardedEvaluation report = stream.evaluation();
+    EXPECT_EQ(report.combinedState, watchdog::State::Degraded);
+    EXPECT_GT(sum.forcedPrecise, 0u);
+    const ShardReport total = report.totals();
+    EXPECT_EQ(total.invocations, invocations);
+    EXPECT_EQ(total.accelerated, sum.accelerated);
+    EXPECT_EQ(total.falsePositives, sum.falsePositives);
+    EXPECT_EQ(total.falseNegatives, sum.falseNegatives);
+    // The per-call snapshot deltas telescope, so the report's watchdog
+    // counts are the calls' sums as well.
+}
+
+TEST(WatchdogStream, CleanTraceWithRealClassifierNeverTrips)
+{
+    // A one-shard stream over a synthetic trace whose approximations
+    // are good, with every invocation accelerated: the drift-off
+    // invariant (zero DEGRADED transitions) end to end.
+    watchdog::WatchdogOptions opts;
+    opts.enabled = true;
+    DecisionLoopOptions loop;
+    loop.oracleThreshold = 0.5;
+    DecisionStream stream(1, loop, opts);
+    RandomFilterClassifier classifier(0.0, 0x70a57ULL);
+    std::vector<std::uint8_t> decisions;
+    stream.decide(classifier, syntheticTrace(4000, 0.01, 0x70a57ULL),
+                  decisions);
+
+    const watchdog::Snapshot snap =
+        stream.evaluation().shards.front().watchdog;
+    EXPECT_EQ(snap.invocations, 4000u);
+    EXPECT_EQ(snap.firstTripAt, watchdog::noTrip);
+    EXPECT_EQ(snap.trips, 0u);
+    EXPECT_EQ(snap.state, watchdog::State::Healthy);
+    EXPECT_GT(snap.audits, 0u);
 }

@@ -9,6 +9,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -374,6 +375,39 @@ invokeBody(const std::string &model)
         + "\", \"inputs\": [[0.25,0.5],[0.75,0.1],[0.9,0.9]]}";
 }
 
+/** A raw loopback connection to `port` (-1 on failure). */
+int
+connectRaw(std::uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    address.sin_port = htons(port);
+    if (fd >= 0
+        && ::connect(fd, reinterpret_cast<sockaddr *>(&address),
+                     sizeof(address))
+            != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Everything the peer sends until it closes the connection. */
+std::string
+readToClose(int fd)
+{
+    std::string reply;
+    char chunk[512];
+    for (;;) {
+        const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+        if (got <= 0)
+            return reply;
+        reply.append(chunk, static_cast<std::size_t>(got));
+    }
+}
+
 } // namespace
 
 TEST(ServiceEndToEnd, LifecycleOverRealSocket)
@@ -527,28 +561,33 @@ TEST(ServiceEndToEnd, PartialRequestTimesOutWith408)
     service::Server server(options);
     server.start();
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    address.sin_port = htons(server.port());
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&address),
-                        sizeof(address)),
-              0);
+    const int stalled = connectRaw(server.port());
+    ASSERT_GE(stalled, 0);
     const char *partial = "GET /metrics HTT";
-    ASSERT_GT(::send(fd, partial, std::strlen(partial), MSG_NOSIGNAL),
+    ASSERT_GT(::send(stalled, partial, std::strlen(partial),
+                     MSG_NOSIGNAL),
               0);
-    std::string reply;
-    char chunk[512];
-    for (;;) {
-        const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (got <= 0)
+    const std::string reply = readToClose(stalled);
+    EXPECT_NE(reply.find("HTTP/1.1 408 "), std::string::npos) << reply;
+    ::close(stalled);
+
+    // One byte every 50 ms never lets a 150 ms poll time out; the
+    // per-request deadline still cuts the request off.
+    const int drip = connectRaw(server.port());
+    ASSERT_GE(drip, 0);
+    const std::string request = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
+    std::size_t sent = 0;
+    while (sent < request.size()
+           && ::send(drip, &request[sent], 1, MSG_NOSIGNAL) == 1) {
+        ++sent;
+        pollfd waiter{drip, POLLIN, 0};
+        if (::poll(&waiter, 1, 50) > 0)
             break;
-        reply.append(chunk, static_cast<std::size_t>(got));
     }
-    EXPECT_NE(reply.find("HTTP/1.1 408 "), std::string::npos)
-        << reply;
-    ::close(fd);
+    const std::string dripReply = readToClose(drip);
+    EXPECT_LT(sent, request.size());
+    EXPECT_NE(dripReply.find("HTTP/1.1 408 "), std::string::npos)
+        << dripReply;
+    ::close(drip);
     server.stop();
 }

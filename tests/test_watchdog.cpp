@@ -6,12 +6,12 @@
  * transitions and hysteresis, and the contract death tests.
  */
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "axbench/benchmark.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/watchdog/watchdog.hh"
@@ -425,45 +425,6 @@ TEST(WatchdogStateMachine, PrecisePathInvocationsAreNotAudited)
     }
     EXPECT_EQ(dog.snapshot().audits, 0u);
     EXPECT_EQ(dog.snapshot().invocations, 100u);
-}
-
-TEST(WatchdogStream, CleanTraceWithRealClassifierNeverTrips)
-{
-    // runStream over a synthetic trace whose approximations are good:
-    // the drift-off invariant (zero DEGRADED transitions) end to end.
-    class AcceptAll final : public core::Classifier
-    {
-      public:
-        std::string kind() const override { return "accept-all"; }
-        bool decidePrecise(const Vec &, std::size_t) override
-        {
-            return false;
-        }
-        sim::ClassifierCost cost() const override { return {}; }
-        std::size_t configSizeBytes() const override { return 0; }
-    };
-
-    axbench::InvocationTrace trace(1, 1);
-    Rng rng(0x70a57ULL);
-    for (std::size_t i = 0; i < 4000; ++i) {
-        const auto x = static_cast<float>(rng.uniform());
-        const bool rare = rng.bernoulli(0.01);
-        trace.appendWithApprox({x}, {1.0f},
-                               {rare ? 2.0f : 1.05f});
-    }
-
-    WatchdogOptions opts;
-    opts.enabled = true;
-    Watchdog dog(opts, 0.5);
-    AcceptAll classifier;
-    const auto result =
-        core::watchdog::runStream(dog, classifier, trace);
-
-    EXPECT_EQ(result.invocations, 4000u);
-    EXPECT_EQ(result.tripIndex, noTrip);
-    EXPECT_EQ(result.snapshot.trips, 0u);
-    EXPECT_EQ(result.snapshot.state, State::Healthy);
-    EXPECT_GT(result.snapshot.audits, 0u);
 }
 
 TEST(WatchdogOptionsEnv, DefaultsAreOffAndSane)
