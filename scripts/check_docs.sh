@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
-# Documentation gate (CI job `docs`): fails when the docs drift from
-# the tree.
+# Documentation gate (part of CI job `source-checks`): fails when the
+# docs drift from the tree.
 #
 #   1. README env table must be byte-identical to the generated
-#      `mithra-analyze --env-table .` output (the registry in
+#      `mithra-lint --env-table .` output (the registry in
 #      src/common/env_registry.hh is the single source of truth).
 #   2. Every relative markdown link and anchor in the curated doc set
 #      must resolve: the target file exists, and a `#fragment` matches
@@ -12,15 +12,15 @@
 #      one `src/<name>` reference), and README must link the docs/
 #      pages so they are discoverable.
 #
-# Usage: scripts/check_docs.sh [path/to/mithra-analyze]
-# The env-table check is skipped with a notice when no mithra-analyze
+# Usage: scripts/check_docs.sh [path/to/mithra-lint]
+# The env-table check is skipped with a notice when no mithra-lint
 # binary is found (minimal containers are never blocked; CI builds
 # the tool and gets the real check).
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 
-# Resolve a caller-supplied mithra-analyze path before leaving the
+# Resolve a caller-supplied mithra-lint path before leaving the
 # caller's directory — a relative path must not silently stop
 # resolving (and skip the env-table check) after the cd below.
 if [ "$#" -ge 1 ] && [ -n "$1" ]; then
@@ -40,22 +40,22 @@ fail() {
 
 # ---------------------------------------------------------------- 1.
 # README environment table vs the generated one.
-analyze=${1:-}
-if [ -z "$analyze" ]; then
-    for candidate in build/tools/mithra-analyze/mithra-analyze \
-                     build-*/tools/mithra-analyze/mithra-analyze \
-                     build-analyze/mithra-analyze; do
+lint=${1:-}
+if [ -z "$lint" ]; then
+    for candidate in build/tools/mithra-lint/mithra-lint \
+                     build-*/tools/mithra-lint/mithra-lint \
+                     build-lint/mithra-lint; do
         if [ -x "$candidate" ]; then
-            analyze=$candidate
+            lint=$candidate
             break
         fi
     done
 fi
 
-if [ -z "$analyze" ] || [ ! -x "$analyze" ]; then
-    echo "check_docs: mithra-analyze not built; skipping env-table check" >&2
+if [ -z "$lint" ] || [ ! -x "$lint" ]; then
+    echo "check_docs: mithra-lint not built; skipping env-table check" >&2
 else
-    generated=$("$analyze" --env-table .)
+    generated=$("$lint" --env-table .)
     # The README table is the contiguous pipe-table block starting at
     # the same header row the generator emits.
     in_readme=$(awk '
@@ -64,7 +64,7 @@ else
         on { exit }
     ' README.md)
     if [ "$generated" != "$in_readme" ]; then
-        fail "README env table is stale — regenerate with \`$analyze --env-table .\` and paste over the table under '## Environment variables'"
+        fail "README env table is stale — regenerate with \`$lint --env-table .\` and paste over the table under '## Environment variables'"
         printf '%s\n' "$generated" > /tmp/check_docs_env_table.$$ 2>/dev/null || true
         printf '%s\n' "$in_readme" | diff -u - /tmp/check_docs_env_table.$$ >&2 || true
         rm -f /tmp/check_docs_env_table.$$

@@ -9,12 +9,11 @@
  * the single source of truth:
  *
  *  - `registry` lists every variable with its value domain, default
- *    and a one-line doc string. mithra-analyze pass 4 (`env-registry`
- *    rule) enforces that every `getenv("MITHRA_...")` in the tree
- *    names an entry here, that raw `getenv` appears nowhere else in
- *    library code, and that every entry appears in README.md's
- *    environment table (regenerate the table with
- *    `mithra-analyze --env-table`).
+ *    and a one-line doc string. mithra-lint's `env-registry` rule
+ *    enforces that every `getenv("MITHRA_...")` in the tree names an
+ *    entry here, that raw `getenv` appears nowhere else in library
+ *    code, and that every entry appears in README.md's environment
+ *    table (regenerate the table with `mithra-lint --env-table`).
  *
  *  - The typed accessors (`countIn`, `realIn`, `flag`, `seed`,
  *    `text`) range-validate on read and fail a MITHRA_EXPECTS
@@ -48,7 +47,7 @@ struct VarInfo
 
 /**
  * Every MITHRA_* environment variable the tree reads, in the order the
- * README table presents them. mithra-analyze checks both directions:
+ * README table presents them. mithra-lint checks both directions:
  * tree use -> registry entry, registry entry -> README row.
  */
 inline constexpr std::array<VarInfo, 23> registry{{
@@ -137,7 +136,7 @@ find(std::string_view name)
 
 /**
  * The raw value of a *registered* variable, or nullptr when unset.
- * The one sanctioned `getenv` in library code (mithra-analyze's
+ * The one sanctioned `getenv` in library code (mithra-lint's
  * env-registry rule bans it everywhere else).
  */
 inline const char *

@@ -138,7 +138,7 @@ class ThreadPool
         if (executed) {
             // The thread-ordinal key is registered volatile (the
             // `true` argument), so it never reaches deterministic
-            // dumps. mithra-analyze: allow(taint-flow)
+            // dumps.
             telemetry::StatsRegistry::global().counter(
                     "parallel.placement.thread"
                         + std::to_string(telemetry::threadOrdinal()),

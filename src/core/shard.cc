@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "telemetry/telemetry.hh"
 
 namespace mithra::core
 {
@@ -219,6 +220,11 @@ mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
             stats::intersectEnvelopes(out.violationEnvelope,
                                       shardEnvelope);
     }
+    // Published here, after the shards finished, rather than per
+    // audit: shard watchdogs audit concurrently, so a per-audit gauge
+    // held whichever shard wrote last.
+    MITHRA_GAUGE_SET("watchdog.violation_upper_bound",
+                     out.violationEnvelope.upper);
 }
 
 DecisionStream::DecisionStream(std::size_t shards,

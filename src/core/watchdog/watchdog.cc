@@ -172,8 +172,6 @@ Watchdog::reportAudit(float trueError)
 
     violationBound.record(violated);
     recordRecent(violated);
-    MITHRA_GAUGE_SET("watchdog.violation_upper_bound",
-                     violationBound.upperBound());
 
     const double allowed = opts.maxViolationRate;
     const std::size_t n = violationBound.observations();

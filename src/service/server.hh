@@ -18,12 +18,11 @@
  *
  * Shell-vs-core boundary: this directory is the ONLY src/ home of
  * wall-clock time, sockets and scheduling nondeterminism (enforced
- * statically by mithra-lint's no-raw-timing policy and
- * mithra-analyze's taint quarantine). Everything the endpoints
- * *compute* — decisions, certificates, metrics documents — is
- * produced by the deterministic core: a pure function of the request
- * sequence, independent of MITHRA_THREADS, MITHRA_SHARDS, worker
- * count, or timing.
+ * statically by mithra-lint's no-raw-timing and no-socket policies).
+ * Everything the endpoints *compute* — decisions, certificates,
+ * metrics documents — is produced by the deterministic core: a pure
+ * function of the request sequence, independent of MITHRA_THREADS,
+ * MITHRA_SHARDS, worker count, or timing.
  *
  * The router (handle()) is separated from the socket loop so tests
  * can drive the full API without networking. The server binds

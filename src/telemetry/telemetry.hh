@@ -26,7 +26,6 @@
  *
  * This header defines only macros (which expand to fully qualified
  * ::mithra::telemetry names), so it opens no namespace itself.
- * mithra-lint: allow(namespace-mithra)
  */
 
 #pragma once

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -24,6 +26,7 @@
 #include "core/table_classifier.hh"
 #include "stats/clopper_pearson.hh"
 #include "stats/sequential_bound.hh"
+#include "telemetry/stats.hh"
 
 using namespace mithra;
 using namespace mithra::core;
@@ -104,17 +107,20 @@ runEval(std::size_t shards, std::size_t threads, bool watchdogOn)
 
 /**
  * A width-1 trace whose accelerator output violates a 0.5 error
- * threshold with probability `violationRate`.
+ * threshold with probability `violationRate`, or `driftRate` from row
+ * `driftFrom` on.
  */
 axbench::InvocationTrace
 syntheticTrace(std::size_t rows, double violationRate,
-               std::uint64_t seed)
+               std::uint64_t seed, std::size_t driftFrom = SIZE_MAX,
+               double driftRate = 0.0)
 {
     axbench::InvocationTrace trace(1, 1);
     Rng rng(seed);
     for (std::size_t i = 0; i < rows; ++i) {
         const auto x = static_cast<float>(rng.uniform());
-        const bool violates = rng.bernoulli(violationRate);
+        const bool violates =
+            rng.bernoulli(i < driftFrom ? violationRate : driftRate);
         trace.appendWithApprox({x}, {1.0f}, {violates ? 2.0f : 1.05f});
     }
     return trace;
@@ -198,14 +204,44 @@ TEST(ShardedRuntime, BitwiseIdenticalAcrossShardsAndThreads)
 TEST(ShardedRuntime, WatchdogIdenticalAcrossThreadsAtFixedShards)
 {
     // Watchdog on: the shard count is semantic configuration, but the
-    // thread count still must not change anything.
-    const DesignEvaluation reference = runEval(3, 1, true);
+    // thread count still must not change anything, the stats dump
+    // included. The tuned table fails closed at this scale, so a
+    // random filter does the accelerating and every shard audits.
+    Env &e = env();
+    auto &stats = telemetry::StatsRegistry::global();
+    const auto run = [&](std::size_t threads, std::string &dump) {
+        setParallelThreadCount(threads);
+        stats.resetValues();
+        EvaluationOptions options;
+        options.shards = 3;
+        options.watchdog.enabled = true;
+        options.watchdog.baseAuditRate = 0.05;
+        const Evaluator evaluator(e.workload, e.spec, e.threshold,
+                                  options);
+        RandomFilterClassifier classifier(0.3, 0x3a11);
+        DesignEvaluation eval =
+            evaluator.evaluate(classifier, e.validation);
+        dump = stats.dump(false);
+        setParallelThreadCount(1);
+        return eval;
+    };
+
+    std::string referenceDump;
+    const DesignEvaluation reference = run(1, referenceDump);
     ASSERT_TRUE(reference.sharded.watchdogEnabled);
     ASSERT_EQ(reference.sharded.shards.size(), 3u);
+    std::size_t violations = 0;
+    for (const ShardReport &shard : reference.sharded.shards) {
+        EXPECT_GT(shard.watchdog.audits, 0u);
+        violations += shard.watchdog.violations;
+    }
+    EXPECT_GT(violations, 0u);
     for (const std::size_t threads : {2u, 8u}) {
-        const DesignEvaluation eval = runEval(3, threads, true);
+        std::string dump;
+        const DesignEvaluation eval = run(threads, dump);
         SCOPED_TRACE("threads=" + std::to_string(threads));
         expectIdentical(reference, eval);
+        EXPECT_EQ(dump, referenceDump);
         EXPECT_EQ(eval.sharded.combinedState,
                   reference.sharded.combinedState);
         for (std::size_t k = 0; k < 3; ++k) {
@@ -480,6 +516,26 @@ TEST(DecisionStream, CallTotalsAreSnapshotDeltasAndSumToReport)
     EXPECT_EQ(total.falseNegatives, sum.falseNegatives);
     // The per-call snapshot deltas telescope, so the report's watchdog
     // counts are the calls' sums as well.
+
+    // The published upper-bound gauge is the merged envelope's, the
+    // value the certificate ships, at any thread count. The last shard
+    // drifts, so it does not hold the tightest bound.
+    for (const std::size_t threads : {1u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setParallelThreadCount(threads);
+        DecisionStream drifted(4, loop, opts);
+        RandomFilterClassifier fresh(0.3, 0x77);
+        drifted.decide(fresh, syntheticTrace(8000, 0.02, 0xc0, 6000, 0.5),
+                       decisions);
+        setParallelThreadCount(1);
+        const ShardedEvaluation merged = drifted.evaluation();
+        EXPECT_LT(merged.violationEnvelope.upper,
+                  merged.shards.back().watchdog.violationUpperBound);
+        EXPECT_EQ(telemetry::StatsRegistry::global()
+                      .gauge("watchdog.violation_upper_bound")
+                      .value(),
+                  merged.violationEnvelope.upper);
+    }
 }
 
 TEST(WatchdogStream, CleanTraceWithRealClassifierNeverTrips)

@@ -22,32 +22,29 @@ identifierChar(char c)
 }
 
 /**
- * Collect `<tool>: allow(<rule>)` annotations from one comment body.
- * `line` is the line the comment starts on; annotations inside a
+ * Collect `mithra-lint: allow(<rule>)` annotations from one comment
+ * body. `line` is the line the comment starts on; annotations inside a
  * multi-line comment are anchored to the line the marker sits on.
  */
 void
 parseAllows(const std::string &comment, std::size_t line,
             ScanResult &result)
 {
-    static const char *const tools[] = {"mithra-lint", "mithra-analyze"};
-    for (const char *tool : tools) {
-        const std::string marker = std::string(tool) + ": allow(";
-        std::size_t at = 0;
-        while ((at = comment.find(marker, at)) != std::string::npos) {
-            const std::size_t open = at + marker.size();
-            const std::size_t close = comment.find(')', open);
-            if (close == std::string::npos)
-                break;
-            const std::size_t markerLine = line
-                + static_cast<std::size_t>(std::count(
-                    comment.begin(),
-                    comment.begin() + static_cast<std::ptrdiff_t>(at),
-                    '\n'));
-            result.allows.push_back(
-                {markerLine, tool, comment.substr(open, close - open)});
-            at = close;
-        }
+    static const std::string marker = "mithra-lint: allow(";
+    std::size_t at = 0;
+    while ((at = comment.find(marker, at)) != std::string::npos) {
+        const std::size_t open = at + marker.size();
+        const std::size_t close = comment.find(')', open);
+        if (close == std::string::npos)
+            break;
+        const std::size_t markerLine = line
+            + static_cast<std::size_t>(std::count(
+                comment.begin(),
+                comment.begin() + static_cast<std::ptrdiff_t>(at),
+                '\n'));
+        result.allows.push_back(
+            {markerLine, comment.substr(open, close - open)});
+        at = close;
     }
 }
 
@@ -269,11 +266,11 @@ scan(const std::string &src)
 }
 
 bool
-suppressed(const std::vector<Annotation> &allows, std::string_view tool,
-           std::string_view rule, std::size_t line)
+suppressed(const std::vector<Annotation> &allows, std::string_view rule,
+           std::size_t line)
 {
     for (const Annotation &allow : allows) {
-        if (allow.tool == tool && allow.rule == rule
+        if (allow.rule == rule
             && (allow.line == line || allow.line + 1 == line)) {
             return true;
         }

@@ -1,21 +1,20 @@
 /**
  * @file
- * Shared C++ token scanner for the in-tree source tools.
+ * C++ token scanner for mithra-lint.
  *
- * Both mithra-lint (token-level rules) and mithra-analyze (semantic
- * passes) need the same front end: a fast, dependency-free scan that
- * strips comments and literals, keeps identifiers/numbers/punctuation
- * with line numbers, extracts `#include` targets with full lexing
- * context (so includes inside strings or comments are NOT seen — the
- * analyzer's include graph must not grow phantom edges from test
- * snippets), and collects `<tool>: allow(<rule>)` suppression
- * annotations for any of the known tools.
+ * Every rule runs off the same front end: a fast, dependency-free
+ * scan that strips comments and literals, keeps identifiers/numbers/
+ * punctuation with line numbers, extracts `#include` targets with full
+ * lexing context (so includes inside strings or comments are NOT seen
+ * — the include graph must not grow phantom edges from test
+ * snippets), and collects `mithra-lint: allow(<rule>)` suppression
+ * annotations.
  *
- * Annotation semantics (shared by both tools): an annotation on line N
- * suppresses the named rule on line N (trailing-comment style) and on
- * line N+1 (preceding-line style). Inside a multi-line block comment
- * the annotation is anchored to the line the marker itself is on, not
- * the comment's first line.
+ * Annotation semantics: an annotation on line N suppresses the named
+ * rule on line N (trailing-comment style) and on line N+1
+ * (preceding-line style). Inside a multi-line block comment the
+ * annotation is anchored to the line the marker itself is on, not the
+ * comment's first line.
  */
 
 #pragma once
@@ -45,11 +44,10 @@ struct Token
     std::size_t line;
 };
 
-/** One `<tool>: allow(<rule>)` suppression annotation. */
+/** One `mithra-lint: allow(<rule>)` suppression annotation. */
 struct Annotation
 {
     std::size_t line;
-    std::string tool; ///< "mithra-lint" or "mithra-analyze"
     std::string rule;
 };
 
@@ -74,11 +72,10 @@ struct ScanResult
 ScanResult scan(const std::string &source);
 
 /**
- * True when `allows` contains an annotation for `tool` naming `rule`
- * on `line` itself or on the directly preceding line.
+ * True when `allows` contains an annotation naming `rule` on `line`
+ * itself or on the directly preceding line.
  */
 bool suppressed(const std::vector<Annotation> &allows,
-                std::string_view tool, std::string_view rule,
-                std::size_t line);
+                std::string_view rule, std::size_t line);
 
 } // namespace mithra::lex

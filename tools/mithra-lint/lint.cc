@@ -5,6 +5,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "lex.hh"
@@ -15,7 +16,6 @@ namespace mithra::lint
 namespace
 {
 
-// The scanner itself lives in lex.{hh,cc}, shared with mithra-analyze.
 using lex::ScanResult;
 using lex::Token;
 using lex::TokenKind;
@@ -45,6 +45,44 @@ endsWith(const std::string &text, const std::string &suffix)
         == 0;
 }
 
+bool
+readFile(const std::string &path, std::string &out)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    out = buffer.str();
+    return true;
+}
+
+/**
+ * The checkable files (.cc / .cpp / .hh / .hpp / .h) under `root` in
+ * sorted order; empty when `root` is missing.
+ */
+std::vector<std::string>
+collectFiles(const std::string &root)
+{
+    namespace fs = std::filesystem;
+    std::vector<std::string> files;
+    const fs::path rootPath(root);
+    if (!fs::is_directory(rootPath))
+        return files;
+    static const std::set<std::string> extensions = {
+        ".cc", ".cpp", ".hh", ".hpp", ".h",
+    };
+    for (const auto &entry :
+         fs::recursive_directory_iterator(rootPath)) {
+        if (!entry.is_regular_file())
+            continue;
+        if (extensions.count(entry.path().extension().string()))
+            files.push_back(entry.path().generic_string());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
 /** Rule-firing context shared by the individual checks. */
 struct Linter
 {
@@ -55,7 +93,7 @@ struct Linter
 
     void report(std::size_t line, std::string rule, std::string message)
     {
-        if (lex::suppressed(scanned.allows, "mithra-lint", rule, line))
+        if (lex::suppressed(scanned.allows, rule, line))
             return;
         diagnostics.push_back(
             {path, line, std::move(rule), std::move(message)});
@@ -325,27 +363,25 @@ checkHeaderHygiene(Linter &lint)
     }
 }
 
+/** Socket headers outside the serving shell. */
 void
-checkNamespace(Linter &lint)
+checkSocketIncludes(Linter &lint)
 {
-    const auto &tokens = lint.scanned.tokens;
-    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-        if (tokens[i].kind == TokenKind::Identifier
-            && tokens[i].text == "namespace"
-            && tokens[i + 1].kind == TokenKind::Identifier
-            && tokens[i + 1].text == "mithra") {
-            return;
+    for (const lex::IncludeDirective &include : lint.scanned.includes) {
+        const std::string &target = include.target;
+        if (!include.angled)
+            continue;
+        if (target == "sys/socket.h" || target == "poll.h"
+            || target.rfind("netinet/", 0) == 0
+            || target.rfind("arpa/", 0) == 0) {
+            lint.report(include.line, "no-socket",
+                        "<" + target
+                            + ">: socket I/O is confined to "
+                              "src/service/ (the serving shell), so "
+                              "network-dependent values stay out of "
+                              "the deterministic core");
         }
     }
-    // A file-level property: an allow anywhere in the file suppresses
-    // it (the annotation usually lives in the file doc comment).
-    for (const lex::Annotation &allow : lint.scanned.allows) {
-        if (allow.tool == "mithra-lint"
-            && allow.rule == "namespace-mithra")
-            return;
-    }
-    lint.report(1, "namespace-mithra",
-                "library code must live in namespace mithra");
 }
 
 void
@@ -512,8 +548,9 @@ policyForPath(const std::string &path)
         || pathContains(p, "src/service/");
     policy.kernelsImpl = pathContains(p, "src/common/kernels/");
     policy.pluginImpl = pathContains(p, "src/plugin/");
+    policy.serviceImpl = pathContains(p, "src/service/");
     // include/*.h is the public C plugin ABI: the C89 rules replace
-    // the C++ header hygiene (no pragma-once, no namespace).
+    // the C++ header hygiene (no pragma-once).
     policy.cAbiHeader = pathContains(p, "include/") && !inSrc
         && endsWith(p, ".h");
     if (policy.cAbiHeader)
@@ -532,8 +569,8 @@ lintSource(const std::string &path, const std::string &source)
         checkHeaderHygiene(lint);
     if (policy.cAbiHeader)
         checkCAbiHeader(lint, source);
-    if (policy.libraryHygiene)
-        checkNamespace(lint);
+    if (policy.libraryHygiene && !policy.serviceImpl)
+        checkSocketIncludes(lint);
     checkTokens(lint);
 
     std::stable_sort(lint.diagnostics.begin(), lint.diagnostics.end(),
@@ -546,39 +583,10 @@ lintSource(const std::string &path, const std::string &source)
 std::vector<Diagnostic>
 lintFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        return {{path, 0, "io-error", "cannot read file"}};
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return lintSource(path, buffer.str());
-}
-
-std::vector<std::string>
-collectFiles(const std::string &root)
-{
-    namespace fs = std::filesystem;
-    std::vector<std::string> files;
-    const fs::path rootPath(root);
-    if (fs::is_regular_file(rootPath)) {
-        files.push_back(rootPath.generic_string());
-        return files;
-    }
-    if (!fs::is_directory(rootPath))
-        return files;
-    static const std::set<std::string> extensions = {
-        ".cc", ".cpp", ".hh", ".hpp", ".h",
-    };
-    for (const auto &entry :
-         fs::recursive_directory_iterator(rootPath)) {
-        if (!entry.is_regular_file())
-            continue;
-        if (extensions.count(entry.path().extension().string()))
-            files.push_back(entry.path().generic_string());
-    }
-    std::sort(files.begin(), files.end());
-    return files;
+    std::string source;
+    if (!readFile(path, source))
+        return {{path, 0, "io", "cannot read file"}};
+    return lintSource(path, source);
 }
 
 std::string
@@ -588,6 +596,93 @@ formatDiagnostic(const Diagnostic &diagnostic)
     os << diagnostic.file << ":" << diagnostic.line << ": error: ["
        << diagnostic.rule << "] " << diagnostic.message;
     return os.str();
+}
+
+TreeReport
+lintTree(const std::string &root)
+{
+    TreeReport report;
+    std::vector<Diagnostic> &diagnostics = report.diagnostics;
+
+    // Token rules see src/bench/tests/include; the tree rules see
+    // src/bench/tools/tests, each its historical scope.
+    std::vector<SourceFile> treeFiles;
+    for (const std::string_view sub :
+         {"src", "bench", "tests", "include", "tools"}) {
+        const std::string where = root + "/" + std::string(sub);
+        const std::vector<std::string> paths = collectFiles(where);
+        if (paths.empty()) {
+            diagnostics.push_back(
+                {where, 0, "io",
+                 "scanned root is missing or holds no source files"});
+        }
+        for (const std::string &path : paths) {
+            ++report.fileCount;
+            SourceFile file{path.substr(root.size() + 1), {}, path};
+            if (!readFile(path, file.source)) {
+                diagnostics.push_back({path, 0, "io", "cannot read file"});
+                continue;
+            }
+            if (sub != "tools") {
+                for (Diagnostic d : lintSource(file.path, file.source)) {
+                    d.file = path;
+                    diagnostics.push_back(std::move(d));
+                }
+            }
+            if (sub != "include")
+                treeFiles.push_back(std::move(file));
+        }
+    }
+
+    // A missing or broken spec is itself an error: the gate must never
+    // silently pass because the DAG vanished.
+    const std::string specPath = root + "/tools/mithra-lint/layers.txt";
+    std::string specText;
+    if (!readFile(specPath, specText)) {
+        diagnostics.push_back({specPath, 1, "layer-spec",
+                               "cannot read layer specification"});
+    } else {
+        const LayerSpec spec =
+            parseLayerSpec(specPath, specText, diagnostics);
+        for (Diagnostic &d : checkLayering(spec, treeFiles))
+            diagnostics.push_back(std::move(d));
+    }
+
+    EnvRegistry registry;
+    for (const SourceFile &file : treeFiles) {
+        if (file.path == "src/common/env_registry.hh")
+            registry = parseEnvRegistry(file.source);
+    }
+    if (registry.entries.empty()) {
+        diagnostics.push_back(
+            {root + "/src/common/env_registry.hh", 1, "env-registry",
+             "cannot parse any registry entries — the env-var "
+             "registry must declare every MITHRA_* variable"});
+    }
+    const std::string readmePath = root + "/README.md";
+    std::string readmeText;
+    if (!readFile(readmePath, readmeText)) {
+        diagnostics.push_back({readmePath, 1, "env-registry",
+                               "cannot read README.md for the "
+                               "environment-table check"});
+    } else if (!registry.entries.empty()) {
+        for (Diagnostic &d : checkReadme(registry, readmePath, readmeText))
+            diagnostics.push_back(std::move(d));
+    }
+    for (const SourceFile &file : treeFiles) {
+        for (Diagnostic &d : checkEnvUse(registry, file))
+            diagnostics.push_back(std::move(d));
+    }
+
+    std::sort(diagnostics.begin(), diagnostics.end(),
+              [](const Diagnostic &a, const Diagnostic &b) {
+                  if (a.file != b.file)
+                      return a.file < b.file;
+                  if (a.line != b.line)
+                      return a.line < b.line;
+                  return a.rule < b.rule;
+              });
+    return report;
 }
 
 } // namespace mithra::lint
